@@ -28,6 +28,7 @@ type Simulator struct {
 
 var _ sim.Engine = (*Simulator)(nil)
 var _ sim.Snapshotter = (*Simulator)(nil)
+var _ sim.RowReader = (*Simulator)(nil)
 
 // New compiles a checked design into a simulator.
 func New(d *ast.Design, opts Options) (_ *Simulator, err error) {
@@ -125,6 +126,20 @@ func (s *Simulator) Reg(name string) bits.Bits {
 	i := s.d.RegIndex(name)
 	return bits.Bits{Width: s.d.Registers[i].Type.BitWidth(), Val: s.m.regValue(i)}
 }
+
+// ReadRow implements sim.RowReader.
+func (s *Simulator) ReadRow(dst []uint64) {
+	for i := range dst {
+		dst[i] = s.m.regValue(i)
+	}
+}
+
+// RegValue returns register i's current value (declaration order).
+func (s *Simulator) RegValue(i int) uint64 { return s.m.regValue(i) }
+
+// SetRegValue overwrites register i's current value; v must fit the
+// register's width.
+func (s *Simulator) SetRegValue(i int, v uint64) { s.m.setRegValue(i, v) }
 
 // SetReg implements sim.Engine.
 func (s *Simulator) SetReg(name string, v bits.Bits) {

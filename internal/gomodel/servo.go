@@ -34,6 +34,7 @@ import (
 // Opcodes:
 //
 //	's' step     u64 n            -> u64 cycleCount | fired bitmap
+//	'c' cycle    (empty)          -> u64 cycleCount | fired bitmap | nregs x u64 values
 //	'p' peek     u32 reg index    -> u64 value
 //	'P' poke     u32 index, u64 v -> (empty)
 //	'A' peek-all (empty)          -> nregs x u64 values
@@ -41,15 +42,20 @@ import (
 //	'R' restore  KSNP v2 bytes    -> (empty)
 //	'f' profile  (empty)          -> nrules x (u64 attempts, commits, skips)
 //	'q' quit     (empty)          -> (empty), then exit 0
+//
+// 'c' is the watched-step opcode: one cycle plus the post-cycle register
+// row, so a supervisor that observes every cycle (trace recording,
+// breakpoint predicates) pays one round trip per cycle instead of a step
+// and a peek-all. Version 2 of the protocol added it.
 const (
 	// ProtocolVersion is the servo wire protocol version; the handshake
 	// carries it and the supervisor rejects mismatches.
-	ProtocolVersion = 1
+	ProtocolVersion = 2
 
 	// EmitterVersion changes whenever the generated code's observable
 	// behavior can change; it is part of the native tier's compile-cache
 	// key, so stale binaries miss rather than lie.
-	EmitterVersion = "gomodel-servo/1"
+	EmitterVersion = "gomodel-servo/2"
 )
 
 // Bindings supply the Go half of a design's external world so it can be
@@ -408,6 +414,29 @@ func (g *gen) servoMain() {
 	g.line("\treply(out, 'E', []byte(msg))")
 	g.line("}")
 	g.line("")
+	g.line("// stepReply runs n cycles and encodes the step response: the cycle")
+	g.line("// count, the fired bitmap and, when row is set, every register value.")
+	g.line("func stepReply(n uint64, row bool) []byte {")
+	g.indent++
+	g.line("stepN(n)")
+	g.line("resp := make([]byte, 0, 8+%d+8*%d)", fbLen, nregs)
+	g.line("resp = binary.LittleEndian.AppendUint64(resp, cycles)")
+	g.line("var fb [%d]byte", fbLen)
+	g.line("for i, f := range fired {")
+	g.line("\tif f {")
+	g.line("\t\tfb[i>>3] |= 1 << (i & 7)")
+	g.line("\t}")
+	g.line("}")
+	g.line("resp = append(resp, fb[:]...)")
+	g.line("if row {")
+	g.line("\tfor _, v := range state {")
+	g.line("\t\tresp = binary.LittleEndian.AppendUint64(resp, v)")
+	g.line("\t}")
+	g.line("}")
+	g.line("return resp")
+	g.indent--
+	g.line("}")
+	g.line("")
 	g.line("func main() {")
 	g.indent++
 	g.line("in := bufio.NewReader(os.Stdin)")
@@ -433,18 +462,10 @@ func (g *gen) servoMain() {
 	g.line("\treplyErr(out, \"step: want 8-byte payload\")")
 	g.line("\tcontinue")
 	g.line("}")
-	g.line("stepN(binary.LittleEndian.Uint64(payload))")
-	g.line("resp := make([]byte, 0, 8+%d)", fbLen)
-	g.line("resp = binary.LittleEndian.AppendUint64(resp, cycles)")
-	g.line("var fb [%d]byte", fbLen)
-	g.line("for i, f := range fired {")
-	g.line("\tif f {")
-	g.line("\t\tfb[i>>3] |= 1 << (i & 7)")
-	g.line("\t}")
-	g.line("}")
-	g.line("resp = append(resp, fb[:]...)")
-	g.line("reply(out, 'K', resp)")
+	g.line("reply(out, 'K', stepReply(binary.LittleEndian.Uint64(payload), false))")
 	g.indent--
+	g.line("case 'c':")
+	g.line("\treply(out, 'K', stepReply(1, true))")
 	g.line("case 'p':")
 	g.indent++
 	g.line("if len(payload) != 4 {")

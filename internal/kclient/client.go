@@ -84,7 +84,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // doKeyed is do with a fresh idempotency key: the daemon executes the
 // request at most once no matter how many retries reach it, so mutating
 // requests (create, step) survive lost responses without double-executing.
+// A client whose policy never retries sends no key: nothing could replay
+// it, and the daemon would hold its cached response for nothing.
 func (c *Client) doKeyed(ctx context.Context, method, path string, in, out any) error {
+	if c.retry.MaxAttempts <= 1 {
+		return c.do(ctx, method, path, in, out)
+	}
 	return c.doReq(ctx, method, path, in, out, newIdemKey())
 }
 

@@ -124,6 +124,24 @@ func TestIdempotencyKeyStableAcrossRetries(t *testing.T) {
 	}
 }
 
+// TestNoIdempotencyKeyWithoutRetries: a client that never retries has no
+// retry for the daemon to deduplicate, so it sends no key and the daemon
+// caches no response for it.
+func TestNoIdempotencyKeyWithoutRetries(t *testing.T) {
+	var keys []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		keys = append(keys, r.Header.Get("Idempotency-Key"))
+		_ = json.NewEncoder(w).Encode(server.StepResponse{Ran: 1, Cycle: 1})
+	}))
+	defer ts.Close()
+	if _, err := kclient.New(ts.URL).Step(context.Background(), "s1", 1); err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	if len(keys) != 1 || keys[0] != "" {
+		t.Fatalf("keys sent = %q, want one request without a key", keys)
+	}
+}
+
 // TestTransportErrorRetrySafety: a torn round trip is ambiguous (the server
 // may have executed it), so it is retried only for keyed or naturally
 // idempotent requests.

@@ -49,7 +49,9 @@ type RuleProfile struct {
 //
 // Register reads are served from a local mirror refreshed with one peek-all
 // round trip after each step, so digesting the full architectural state
-// costs one RPC, not one per register.
+// costs one RPC, not one per register. The one-cycle facade (Cycle) fills
+// the mirror in the same round trip as the step, so an observer that reads
+// every cycle's row costs no second trip.
 type Engine struct {
 	design  *ast.Design
 	key     string
@@ -79,6 +81,7 @@ var (
 	_ sim.Engine      = (*Engine)(nil)
 	_ sim.Snapshotter = (*Engine)(nil)
 	_ sim.Advancer    = (*Engine)(nil)
+	_ sim.RowReader   = (*Engine)(nil)
 )
 
 // Launch spawns a compiled servo binary and performs the handshake,
@@ -288,18 +291,35 @@ func asRemote(err error, out **RemoteError) bool {
 // StepN executes n cycles in the subprocess (one round trip) and refreshes
 // the cycle counter and fired flags.
 func (e *Engine) StepN(n uint64) error {
+	return e.step('s', binary.LittleEndian.AppendUint64(nil, n))
+}
+
+// step runs one step request — 's' (n cycles) or 'c' (one cycle whose
+// reply also carries every register value) — and refreshes the cycle
+// counter and fired flags, plus the register mirror for 'c'.
+func (e *Engine) step(op byte, payload []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	resp, err := e.callLocked('s', binary.LittleEndian.AppendUint64(nil, n))
+	resp, err := e.callLocked(op, payload)
 	if err != nil {
 		return err
 	}
-	if len(resp) != 8+len(e.fired) {
+	nf := len(e.fired)
+	want := 8 + nf
+	if op == 'c' {
+		want += 8 * len(e.mirror)
+	}
+	if len(resp) != want {
 		return e.fail(fmt.Errorf("step: response length %d", len(resp)))
 	}
 	e.cycles = binary.LittleEndian.Uint64(resp[:8])
-	copy(e.fired, resp[8:])
-	e.mirrorOK = false
+	copy(e.fired, resp[8:8+nf])
+	e.mirrorOK = op == 'c'
+	if e.mirrorOK {
+		for i := range e.mirror {
+			e.mirror[i] = binary.LittleEndian.Uint64(resp[8+nf+8*i:])
+		}
+	}
 	return nil
 }
 
@@ -438,10 +458,12 @@ func (e *Engine) Close() error {
 // Design implements sim.Engine.
 func (e *Engine) Design() *ast.Design { return e.design }
 
-// Cycle implements sim.Engine. Subprocess failures panic (toolchain-bug
-// territory); diag.Guard boundaries upstream convert them to errors.
+// Cycle implements sim.Engine: one cycle whose response also carries the
+// post-cycle register row, so ReadRow and Reg after it need no round trip.
+// Subprocess failures panic (toolchain-bug territory); diag.Guard
+// boundaries upstream convert them to errors.
 func (e *Engine) Cycle() {
-	if err := e.StepN(1); err != nil {
+	if err := e.step('c', nil); err != nil {
 		panic(err)
 	}
 }
@@ -466,6 +488,17 @@ func (e *Engine) Reg(name string) bits.Bits {
 		panic(err)
 	}
 	return bits.New(e.design.Registers[i].Type.BitWidth(), e.mirror[i])
+}
+
+// ReadRow implements sim.RowReader from the register mirror, refreshing it
+// first if a bulk step or restore invalidated it.
+func (e *Engine) ReadRow(dst []uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.refreshLocked(); err != nil {
+		panic(err)
+	}
+	copy(dst, e.mirror)
 }
 
 // SetReg implements sim.Engine.

@@ -33,6 +33,7 @@ func (f *faultEngine) Cycle() {
 
 func (f *faultEngine) Reg(name string) bits.Bits       { return f.inner.Reg(name) }
 func (f *faultEngine) SetReg(name string, v bits.Bits) { f.inner.SetReg(name, v) }
+func (f *faultEngine) ReadRow(dst []uint64)            { sim.ReadRow(f.inner, dst) }
 func (f *faultEngine) CycleCount() uint64              { return f.inner.CycleCount() }
 func (f *faultEngine) RuleFired(rule string) bool      { return f.inner.RuleFired(rule) }
 

@@ -354,6 +354,36 @@ func TestEnginePanicQuarantinesSession(t *testing.T) {
 	}
 }
 
+// TestWatchedStepPanicQuarantines injects an engine.cycle panic into a
+// watched step (recording plus a breakpoint): the batched watched loop
+// reports it like the plain path does, and the session is quarantined.
+func TestWatchedStepPanicQuarantines(t *testing.T) {
+	ctx := context.Background()
+	inj := faultinj.New(3, faultinj.Rule{Op: "engine.cycle", Nth: 50, Kind: faultinj.Panic})
+	_, c := newTestDaemon(t, server.Config{StoreDir: t.TempDir(), Faults: inj})
+	info, err := c.Create(ctx, server.CreateRequest{Catalog: "collatz"})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, err := c.TraceRecord(ctx, info.ID, true); err != nil {
+		t.Fatalf("record: %v", err)
+	}
+	if err := c.Break(ctx, info.ID, server.BreakRequest{Cond: "x.rd0() == 32'd0"}); err != nil {
+		t.Fatalf("break: %v", err)
+	}
+	_, err = c.Step(ctx, info.ID, 100)
+	if got := apiStatus(t, err); got != http.StatusInternalServerError {
+		t.Fatalf("panicking watched step: status %d, want 500", got)
+	}
+	_, err = c.Step(ctx, info.ID, 1)
+	if got := apiStatus(t, err); got != http.StatusConflict {
+		t.Fatalf("step after panic: status %d, want 409", got)
+	}
+	if inf, err := c.Info(ctx, info.ID); err != nil || inf.State != "quarantined" {
+		t.Fatalf("info = %+v, %v; want State quarantined", inf, err)
+	}
+}
+
 func names(ents []os.DirEntry) []string {
 	out := make([]string, len(ents))
 	for i, e := range ents {

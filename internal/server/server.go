@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"cuttlego/internal/bench"
+	"cuttlego/internal/bits"
 	"cuttlego/internal/diag"
 	"cuttlego/internal/faultinj"
 	"cuttlego/internal/native"
@@ -1295,7 +1296,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		enc := json.NewEncoder(w)
 		d := sess.design()
-		last := sess.valuesLocked()
+		// Changes are diffed against the row the step loop reads each cycle
+		// (sess.traceRow), so the stream takes no extra register reads.
+		last := make([]uint64, len(d.Registers))
+		sim.ReadRow(sess.eng, last)
 		n, _, _ := sess.stepLocked(ctx, cycles, func() error {
 			ev := TraceEvent{Cycle: sess.eng.CycleCount()}
 			for _, name := range d.Schedule {
@@ -1303,16 +1307,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 					ev.Fired = append(ev.Fired, name)
 				}
 			}
-			now := sess.valuesLocked()
-			for i, v := range now {
+			for i, v := range sess.traceRow {
 				if v != last[i] {
 					if ev.Changed == nil {
 						ev.Changed = make(map[string]RegValue)
 					}
-					ev.Changed[d.Registers[i].Name] = FromBits(v)
+					ev.Changed[d.Registers[i].Name] = FromBits(bits.Bits{Width: d.Registers[i].Type.BitWidth(), Val: v})
+					last[i] = v
 				}
 			}
-			last = now
 			if err := enc.Encode(ev); err != nil {
 				return err
 			}

@@ -117,12 +117,14 @@ type session struct {
 
 	// rec, while non-nil, records every executed cycle into the session's
 	// on-disk trace store (row c = register values at cycle c). Guarded by
-	// mu; stepping drops to single-cycle chunks while recording, exactly as
-	// it does for breakpoints.
+	// mu. A recording or breakpointed session is watched: stepping still
+	// runs whole chunks, but reads each cycle's register row into traceRow
+	// (sim.ReadRow, by index) and feeds that one row to the recorder, every
+	// compiled breakpoint predicate and any stream observer.
 	rec      *tracedb.Recorder
 	traceDir string
 	traceFS  faultinj.FS
-	traceRow []uint64 // scratch row, reused every cycle
+	traceRow []uint64 // the current cycle's register row, reused every cycle; allocated with the engine
 
 	// lazy, while non-nil, is the copy-on-write state of a fork that has
 	// not diverged into its own engine: a shared immutable base snapshot
@@ -180,7 +182,7 @@ func (s *session) gate() error {
 
 type sessionCond struct {
 	src  string
-	eval func(sim.Engine) bool
+	eval func(row []uint64) bool
 }
 
 // snapInterval is how often stepping records an in-memory snapshot for
@@ -236,6 +238,7 @@ func newSession(id string, req CreateRequest, env sessionEnv) (_ *session, err e
 		id: id, cfg: cfg, env: env, src: req.Source, catalog: req.Catalog, eng: eng,
 		external:   inst.Bench != nil,
 		designName: d.Name, nRegs: len(d.Registers), nRules: len(d.Rules), d: d,
+		traceRow: make([]uint64, len(d.Registers)),
 	}
 	if cfg.Engine == "native" {
 		// The native binary self-drives: whatever workload the catalogue
@@ -379,6 +382,7 @@ func (s *session) materializeLocked() (err error) {
 	}
 	s.lazy = nil
 	s.cow.Store(false)
+	s.traceRow = make([]uint64, s.nRegs)
 	s.snaps = append(s.snaps[:0], c0)
 	s.recordSnapshot()
 	return nil
@@ -470,22 +474,22 @@ func (s *session) step(ctx context.Context, n uint64) (ran uint64, stopped strin
 }
 
 // stepLocked is step's body; observe, when non-nil, runs after every cycle
-// (the trace stream). Callers hold mu.
+// (the trace stream) and may read that cycle's registers from s.traceRow.
+// Callers hold mu.
 func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error) (uint64, string, error) {
 	s.maybePromoteLocked()
 	start := s.eng.CycleCount()
+	watched := len(s.conds) > 0 || observe != nil || s.rec != nil
 	var i uint64
 	for i < n {
 		// Batch cycles between bookkeeping points: the next snapshot
-		// boundary, but at most 1024 cycles between ctx checks, and single
-		// cycles when a breakpoint or observer watches every cycle.
+		// boundary, but at most 1024 cycles between ctx checks. A watched
+		// chunk observes each of its cycles but is otherwise the same.
 		chunk := n - i
 		if chunk > 1024 {
 			chunk = 1024
 		}
-		if len(s.conds) > 0 || observe != nil || s.rec != nil {
-			chunk = 1
-		} else if s.durable() {
+		if s.durable() {
 			cyc := s.eng.CycleCount()
 			if to := snapInterval - cyc%snapInterval; to < chunk {
 				chunk = to
@@ -496,7 +500,16 @@ func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error
 			return i, "timeout", nil
 		default:
 		}
-		ran, err := sim.RunContext(ctx, s.eng, s.tb, chunk)
+		var (
+			ran     uint64
+			stopped string
+			err     error
+		)
+		if watched {
+			ran, stopped, err = s.watchLocked(chunk, observe)
+		} else {
+			ran, err = sim.RunContext(ctx, s.eng, s.tb, chunk)
+		}
 		i += ran
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -518,24 +531,54 @@ func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error
 		if s.eng.CycleCount()%snapInterval == 0 {
 			s.recordSnapshot()
 		}
+		if stopped != "" {
+			return i, stopped, nil
+		}
+	}
+	return i, "", nil
+}
+
+// watchLocked runs up to n cycles under the testbench, observing each one:
+// read the register row once, append it to the recording, evaluate every
+// breakpoint predicate on it, then run observe. It stops after the first
+// cycle on which a predicate holds, returning the cycles run and the
+// breakpoint description. The caller checks ctx between chunks; an engine
+// panic becomes an *diag.Internal error, as in sim.RunContext. Callers hold
+// mu.
+func (s *session) watchLocked(n uint64, observe func() error) (ran uint64, stopped string, err error) {
+	defer diag.Guard("server: watched step", &err)
+	row := s.traceRow
+	for ran < n {
+		if s.tb != nil {
+			s.tb.BeforeCycle(s.eng)
+		}
+		s.eng.Cycle()
+		ran++
+		if s.tb != nil {
+			s.tb.AfterCycle(s.eng)
+		}
+		sim.ReadRow(s.eng, row)
 		if s.rec != nil {
-			s.traceRow = s.rowLocked(s.traceRow)
-			if err := s.rec.Append(s.eng.CycleCount(), s.traceRow); err != nil {
-				return i, "", fmt.Errorf("trace recording: %w", err)
+			if err := s.rec.Append(s.eng.CycleCount(), row); err != nil {
+				return ran, "", fmt.Errorf("trace recording: %w", err)
+			}
+		}
+		for _, c := range s.conds {
+			if c.eval(row) {
+				stopped = fmt.Sprintf("condition %q at cycle %d", c.src, s.eng.CycleCount())
+				break
 			}
 		}
 		if observe != nil {
 			if err := observe(); err != nil {
-				return i, "", err
+				return ran, "", err
 			}
 		}
-		for _, c := range s.conds {
-			if c.eval(s.eng) {
-				return i, fmt.Sprintf("condition %q at cycle %d", c.src, s.eng.CycleCount()), nil
-			}
+		if stopped != "" {
+			return ran, stopped, nil
 		}
 	}
-	return i, "", nil
+	return ran, "", nil
 }
 
 // nativeDownLocked reports whether the transparently promoted subprocess
@@ -752,7 +795,7 @@ func (s *session) setBreak(req BreakRequest) (err error) {
 	if req.Cond == "" {
 		return nil
 	}
-	eval, err := debug.CompileCondition(s.design(), req.Cond)
+	eval, err := debug.CompileRowCondition(s.design(), req.Cond)
 	if err != nil {
 		return err
 	}
@@ -761,19 +804,6 @@ func (s *session) setBreak(req BreakRequest) (err error) {
 }
 
 // --- trace recording --------------------------------------------------------
-
-// rowLocked samples every register into row (allocated when nil), in
-// declaration order — the tracedb schema order. Callers hold mu.
-func (s *session) rowLocked(row []uint64) []uint64 {
-	d := s.design()
-	if row == nil {
-		row = make([]uint64, len(d.Registers))
-	}
-	for i, r := range d.Registers {
-		row[i] = s.eng.Reg(r.Name).Val
-	}
-	return row
-}
 
 // record switches trace recording on or off. Disabling flushes and detaches
 // the recorder but leaves the recording on disk, still queryable; enabling
@@ -835,7 +865,8 @@ func (s *session) startTraceLocked(dir string, fsys faultinj.FS) error {
 		}
 	}
 	if last, ok := rec.LastCycle(); !ok || last < cur {
-		if err := rec.Append(cur, s.rowLocked(nil)); err != nil {
+		sim.ReadRow(s.eng, s.traceRow)
+		if err := rec.Append(cur, s.traceRow); err != nil {
 			return fmt.Errorf("trace recording: %w", err)
 		}
 	}
@@ -863,7 +894,8 @@ func (s *session) rewindTraceLocked() error {
 		return fmt.Errorf("trace recording: %w", err)
 	}
 	if last, ok := s.rec.LastCycle(); !ok || last < cur {
-		if err := s.rec.Append(cur, s.rowLocked(nil)); err != nil {
+		sim.ReadRow(s.eng, s.traceRow)
+		if err := s.rec.Append(cur, s.traceRow); err != nil {
 			return fmt.Errorf("trace recording: %w", err)
 		}
 	}
@@ -1037,9 +1069,4 @@ func (s *session) reverse(ctx context.Context, n uint64) (err error) {
 		return fmt.Errorf("rewind replay stopped at cycle %d, want %d", got, target)
 	}
 	return nil
-}
-
-// values returns a copy of every register value (for trace diffing).
-func (s *session) valuesLocked() []bits.Bits {
-	return sim.StateOf(s.eng)
 }

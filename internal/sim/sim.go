@@ -158,6 +158,29 @@ func RunContext(ctx context.Context, e Engine, tb Testbench, n uint64) (cycles u
 	return i, nil
 }
 
+// RowReader is implemented by engines that can copy every register's
+// current value into a row, in declaration order, without name lookups.
+// Watched stepping reads one row per cycle for trace recording and
+// breakpoint predicates, so this is the per-cycle observation path.
+type RowReader interface {
+	// ReadRow fills dst[i] with register i's value; len(dst) is the
+	// design's register count.
+	ReadRow(dst []uint64)
+}
+
+// ReadRow fills dst with the engine's register row. Every engine in this
+// module implements RowReader; the name-keyed fallback exists for foreign
+// Engine implementations.
+func ReadRow(e Engine, dst []uint64) {
+	if r, ok := e.(RowReader); ok {
+		r.ReadRow(dst)
+		return
+	}
+	for i, r := range e.Design().Registers {
+		dst[i] = e.Reg(r.Name).Val
+	}
+}
+
 // StateOf captures every register of an engine, in declaration order. Used
 // by cross-engine equivalence tests.
 func StateOf(e Engine) []bits.Bits {

@@ -7,10 +7,8 @@ import (
 	"strings"
 
 	"cuttlego/internal/ast"
-	"cuttlego/internal/bits"
 	"cuttlego/internal/debug"
 	"cuttlego/internal/lang"
-	"cuttlego/internal/sim"
 )
 
 // Query modes.
@@ -105,27 +103,6 @@ func (q Query) String() string {
 	return q.Mode + " " + q.Expr + w
 }
 
-// rowEngine adapts one recorded row to sim.Engine so predicates compiled
-// by debug.CompileCondition evaluate against history exactly as they would
-// against a live engine: the compiled closure only ever calls Reg.
-type rowEngine struct {
-	d      *ast.Design
-	widths []int
-	idx    map[string]int
-	row    []uint64
-	cycle  uint64
-}
-
-func (e *rowEngine) Design() *ast.Design { return e.d }
-func (e *rowEngine) Cycle()              {}
-func (e *rowEngine) Reg(name string) bits.Bits {
-	i := e.idx[name]
-	return bits.New(e.widths[i], e.row[i])
-}
-func (e *rowEngine) SetReg(string, bits.Bits) {}
-func (e *rowEngine) CycleCount() uint64       { return e.cycle }
-func (e *rowEngine) RuleFired(string) bool    { return false }
-
 // constraint is one index-prunable conjunct of the predicate: a comparison
 // between a signal read and a constant. A chunk whose [min, max] summary
 // cannot satisfy every constraint cannot contain a match.
@@ -163,10 +140,12 @@ func (ct constraint) admits(s SigSum) bool {
 	return true
 }
 
-// compiled is a predicate prepared for one recording: the evaluator, the
-// signals it reads, and its index-prunable constraints.
+// compiled is a predicate prepared for one recording: the row evaluator,
+// the signals it reads, and its index-prunable constraints. Signals are the
+// design's registers in declaration order, so a stored row is exactly the
+// row the evaluator expects.
 type compiled struct {
-	eval        func(sim.Engine) bool
+	eval        func(row []uint64) bool
 	reads       []int // signal indices the expression reads
 	constraints []constraint
 }
@@ -179,7 +158,7 @@ func (r *Reader) compile(d *ast.Design, expr string) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	eval, err := debug.CompileCondition(d, expr)
+	eval, err := debug.CompileRowCondition(d, expr)
 	if err != nil {
 		return nil, err
 	}
@@ -187,27 +166,7 @@ func (r *Reader) compile(d *ast.Design, expr string) (*compiled, error) {
 	for i, s := range r.meta.Signals {
 		idx[s.Name] = i
 	}
-	c := &compiled{eval: eval}
-	seen := make(map[int]bool)
-	var walk func(n *ast.Node)
-	walk = func(n *ast.Node) {
-		if n == nil {
-			return
-		}
-		if n.Kind == ast.KRead {
-			if i, ok := idx[n.Name]; ok && !seen[i] {
-				seen[i] = true
-				c.reads = append(c.reads, i)
-			}
-		}
-		walk(n.A)
-		walk(n.B)
-		walk(n.C)
-		for _, it := range n.Items {
-			walk(it)
-		}
-	}
-	walk(node)
+	c := &compiled{eval: eval, reads: debug.ReadSet(d, node)}
 	// Decompose top-level conjunctions and keep every `signal OP constant`
 	// conjunct as an index constraint. The predicate is still evaluated in
 	// full on surviving rows; constraints only rule chunks out, so missing
@@ -268,27 +227,17 @@ func (r *Reader) Query(d *ast.Design, q Query) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	eng := &rowEngine{
-		d:      d,
-		widths: make([]int, len(r.meta.Signals)),
-		idx:    make(map[string]int, len(r.meta.Signals)),
-		row:    make([]uint64, len(r.meta.Signals)),
-	}
-	for i, s := range r.meta.Signals {
-		eng.widths[i] = s.Width
-		eng.idx[s.Name] = i
-	}
+	row := make([]uint64, len(r.meta.Signals))
 
 	// evalConst answers the predicate for a chunk whose read set is
 	// unchanged: build the one distinct row from the summaries and evaluate
 	// it once.
 	evalConst := func(c ChunkInfo) bool {
-		for i := range eng.row {
-			eng.row[i] = c.Sums[i].Min
+		for i := range row {
+			row[i] = c.Sums[i].Min
 		}
-		eng.cycle = c.Start
 		res.RowsEvaluated++
-		return pred.eval(eng)
+		return pred.eval(row)
 	}
 
 	backward := q.Mode == ModeLast
@@ -360,11 +309,10 @@ func (r *Reader) Query(d *ast.Design, q Query) (Result, error) {
 		evalRow := func(cyc uint64) bool {
 			off := cyc - c.Start
 			for s := range cols {
-				eng.row[s] = cols[s][off]
+				row[s] = cols[s][off]
 			}
-			eng.cycle = cyc
 			res.RowsEvaluated++
-			return pred.eval(eng)
+			return pred.eval(row)
 		}
 		if backward {
 			for cyc := hi; ; cyc-- {

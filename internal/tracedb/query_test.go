@@ -47,23 +47,15 @@ func TestParseQuery(t *testing.T) {
 }
 
 // bruteForce evaluates the predicate over every recorded row by reading
-// rows directly — the trusted oracle the indexed query engine must match.
+// rows directly — the trusted oracle the indexed query engine's chunk
+// pruning must match.
 func bruteForce(t *testing.T, r *Reader, catalog, expr string, from, to uint64) []uint64 {
 	t.Helper()
 	bm, _ := bench.Lookup(catalog)
 	d := bm.New().Design
-	eval, err := debug.CompileCondition(d, expr)
+	eval, err := debug.CompileRowCondition(d, expr)
 	if err != nil {
-		t.Fatalf("CompileCondition: %v", err)
-	}
-	eng := &rowEngine{
-		d:      d,
-		widths: make([]int, len(r.meta.Signals)),
-		idx:    make(map[string]int, len(r.meta.Signals)),
-	}
-	for i, s := range r.meta.Signals {
-		eng.widths[i] = s.Width
-		eng.idx[s.Name] = i
+		t.Fatalf("CompileRowCondition: %v", err)
 	}
 	first, last, ok := r.Bounds()
 	if !ok {
@@ -81,9 +73,7 @@ func bruteForce(t *testing.T, r *Reader, catalog, expr string, from, to uint64) 
 		if err != nil {
 			t.Fatalf("Row(%d): %v", cyc, err)
 		}
-		eng.row = row
-		eng.cycle = cyc
-		if eval(eng) {
+		if eval(row) {
 			matches = append(matches, cyc)
 		}
 	}

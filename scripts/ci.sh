@@ -54,9 +54,12 @@ echo "== race: trace store + DAP — chunked recording, queries, time travel"
 # re-emit, torn-write recovery) and the DAP adapter's scripted sessions
 # against a local daemon and a routed fleet run under the race detector,
 # plus the server's recording lifecycle: record across restart, fork
-# diffing, and durable fork checkpoints.
+# diffing, and durable fork checkpoints. Watched stepping (recording and
+# breakpoints in batched chunks) is held to unwatched runs on every engine,
+# and the compiled breakpoint predicate to the interp probe.
 go test -race ./internal/tracedb ./internal/dap
-go test -race -run 'TestTrace|TestForkDurable' ./internal/server
+go test -race -run 'TestTrace|TestForkDurable|TestWatched' ./internal/server
+go test -race -run 'Compiled' ./internal/debug
 
 echo "== fuzz smoke (5s per target)"
 go test ./internal/lang -run='^$' -fuzz='^FuzzLexer$' -fuzztime=5s
@@ -69,6 +72,7 @@ go test -race ./internal/difftest -run='^$' -fuzz='^FuzzParallelLockstep$' -fuzz
 go test ./internal/sim -run='^$' -fuzz='^FuzzSnapshotUnmarshal$' -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz='^FuzzServerRequest$' -fuzztime=5s
 go test ./internal/tracedb -run='^$' -fuzz='^FuzzParseQuery$' -fuzztime=5s
+go test ./internal/debug -run='^$' -fuzz='^FuzzCompiledCondition$' -fuzztime=5s
 
 echo "== kdiff generative sweep (fixed seeds, all engines, shrink on failure)"
 # Every engine in the matrix must track the reference interpreter in
